@@ -7,8 +7,9 @@ schema-versioned ``BENCH_<n>.json`` report (see
 throughput, simulated-cycle throughput, the host-time phase breakdown,
 peak RSS, and a snapshot of the unified metrics registry.
 
-``--observed`` re-runs each figure a second time with event tracing
-and span recording live (via :func:`repro.core.simulator.trace_override`
+``--observed`` re-runs each figure a second time, after the untraced
+matrix and its registry snapshot, with event tracing and span
+recording live (via :func:`repro.core.simulator.trace_override`
 — the configs, results, and cache keys are untouched) and records
 ``observed_wall_s`` / ``observed_overhead`` per figure and in totals:
 the measured price of full observability.
@@ -141,6 +142,7 @@ def run_bench(
     total_cells = 0
     total_cycles = 0
     total_observed = 0.0
+    walls: Dict[str, float] = {}
     for name in figures:
         if stream is not None:
             stream.write(f"[bench] {name} ...\n")
@@ -165,41 +167,46 @@ def run_bench(
             "cycles_per_s": round(cycles / wall, 1) if wall > 0 else 0.0,
             "phases": profiler.to_dict()["phases"],
         }
+        walls[name] = wall
         total_wall += wall
         total_cells += cells
         total_cycles += cycles
-        if observed:
-            # The observed column: the same figure with event tracing
-            # and span recording live for every cell.  Results are
-            # byte-identical (pinned by tests/engines/test_observers.py);
-            # the ratio is the price of full observability.
-            recorder = SpanRecorder(keep_slowest=5)
-            start = time.perf_counter()
-            with trace_override(OBSERVED_TRACE), record_spans(recorder):
-                api_figure(
-                    name=name,
-                    workloads=list(workloads) if workloads else None,
-                    jobs=1,
-                    engine=engine,
-                )
-            observed_wall = time.perf_counter() - start
-            total_observed += observed_wall
-            report_figures[name]["observed_wall_s"] = round(observed_wall, 4)
-            report_figures[name]["observed_overhead"] = (
-                round(observed_wall / wall, 3) if wall > 0 else 0.0
-            )
         if stream is not None:
-            line = (
+            stream.write(
                 f"[bench] {name}: {wall:.2f}s, {cells} cells, "
-                f"{cycles} cycles"
+                f"{cycles} cycles\n"
             )
-            if observed:
-                entry = report_figures[name]
-                line += (
-                    f", observed {entry['observed_wall_s']:.2f}s "
-                    f"(x{entry['observed_overhead']:.2f})"
-                )
-            stream.write(line + "\n")
+            stream.flush()
+    # Snapshot before any observed pass: the registry must count each
+    # figure's cells once, as the totals do.
+    metrics = registry_to_dict(REGISTRY)
+    for name in figures if observed else ():
+        # The observed column: the same figure with event tracing and
+        # span recording live for every cell.  Results are
+        # byte-identical (pinned by tests/engines/test_observers.py);
+        # the ratio is the price of full observability.
+        recorder = SpanRecorder(keep_slowest=5)
+        start = time.perf_counter()
+        with trace_override(OBSERVED_TRACE), record_spans(recorder):
+            api_figure(
+                name=name,
+                workloads=list(workloads) if workloads else None,
+                jobs=1,
+                engine=engine,
+            )
+        observed_wall = time.perf_counter() - start
+        total_observed += observed_wall
+        wall = walls[name]
+        entry = report_figures[name]
+        entry["observed_wall_s"] = round(observed_wall, 4)
+        entry["observed_overhead"] = (
+            round(observed_wall / wall, 3) if wall > 0 else 0.0
+        )
+        if stream is not None:
+            stream.write(
+                f"[bench] {name}: observed {observed_wall:.2f}s "
+                f"(x{entry['observed_overhead']:.2f})\n"
+            )
             stream.flush()
     report: Dict[str, Any] = {
         "schema_version": benchfile.BENCH_SCHEMA_VERSION,
@@ -219,7 +226,7 @@ def run_bench(
             ),
             "peak_rss_kb": _peak_rss_kb(),
         },
-        "metrics": registry_to_dict(REGISTRY),
+        "metrics": metrics,
     }
     if observed:
         report["totals"]["observed_wall_s"] = round(total_observed, 4)

@@ -16,10 +16,12 @@ workload name, the trace form and miss scale, plus two version salts:
   incompatible result-layout changes.
 
 Entries are single JSON files named by their key, written atomically
-(temp file + ``os.replace``), so concurrent sweeps sharing a cache
-directory can race harmlessly: the worst case is both simulating and
-one overwrite with identical bytes.  Delete the directory (or bump the
-salt) to invalidate.
+and durably (temp file, fsync, ``os.replace``, then a best-effort fsync
+of the directory), so a power loss leaves either no entry or a whole
+one under a key, and concurrent sweeps sharing a cache directory can
+race harmlessly: the worst case is both simulating and one overwrite
+with identical bytes.  Delete the directory (or bump the salt) to
+invalidate.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ class ResultCache:
         return result
 
     def put(self, cell: Cell, result: SimulationResult) -> None:
-        """Store ``result`` for ``cell`` atomically."""
+        """Store ``result`` for ``cell`` atomically and durably."""
         path = self._path(cache_key(cell))
         parent = os.path.dirname(path)
         os.makedirs(parent, exist_ok=True)
@@ -109,6 +111,10 @@ class ResultCache:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(result.canonical_json())
+                handle.flush()
+                # The bytes reach the disk before the name does: a
+                # power loss can never leave a torn entry under a key.
+                os.fsync(handle.fileno())
             os.replace(tmp_path, path)
         except BaseException:
             try:
@@ -116,6 +122,14 @@ class ResultCache:
             except OSError:
                 pass
             raise
+        try:
+            dir_fd = os.open(parent, os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
+        except OSError:
+            pass  # directory fsync is best-effort (non-POSIX hosts)
         self.stores += 1
         if self.max_bytes is not None:
             self._evict(keep=path)

@@ -26,8 +26,11 @@ import pytest
 from repro.api import simulate
 from repro.core import presets
 from repro.core.config import GPUConfig, TraceConfig
+from repro.core.simulator import Simulator
+from repro.engines.event import EventEngine
 from repro.obs.spans import SpanRecorder, record_spans
 from repro.prof import profiler
+from repro.workloads.registry import get_workload
 
 _TINY = dict(num_cores=1, warps_per_core=8, warp_width=8)
 
@@ -36,6 +39,12 @@ def _preset(name: str, **overrides) -> GPUConfig:
     merged = dict(_TINY)
     merged.update(overrides)
     return GPUConfig.preset(name, **merged)
+
+
+def _l1_3k(config: GPUConfig) -> GPUConfig:
+    """``config`` with a 3 KiB L1: 3 sets, not a power of two."""
+    cache = dataclasses.replace(config.cache, l1_bytes=3 * 1024)
+    return dataclasses.replace(config, cache=cache)
 
 
 #: name -> (config, workload, form)
@@ -59,6 +68,15 @@ GOLDENS = {
     # Figure 11: walker pools vs the augmented walker.
     "fig11-ptw4": (presets.multi_ptw_tlb(4, **_TINY), "kmeans", None),
     "fig11-aug": (_preset("augmented"), "bfs", None),
+    # Non-power-of-two cache geometry: the event engine's shift/mask
+    # memory path cannot index it and falls back to the core's own
+    # _issue_memory, inside the same event loop.
+    "l1-3set": (_l1_3k(_preset("naive", ports=3)), "bfs", None),
+    "l1-3set-ccws": (
+        presets.with_ccws(_l1_3k(_preset("naive", ports=3))),
+        "kmeans",
+        None,
+    ),
 }
 
 
@@ -99,7 +117,9 @@ def test_event_matches_cycle(name):
     )
 
 
-@pytest.mark.parametrize("name", ["fig02-naive", "fig02-tbc", "fig11-aug"])
+@pytest.mark.parametrize(
+    "name", ["fig02-naive", "fig02-tbc", "fig11-aug", "l1-3set"]
+)
 @pytest.mark.parametrize(
     "traced,profiled,spanned",
     [
@@ -116,3 +136,18 @@ def test_event_matches_cycle_under_observation(name, traced, profiled, spanned):
     assert _run(config, workload, form, "event", **kwargs) == _run(
         config, workload, form, "cycle", **kwargs
     )
+
+
+def _core(name: str):
+    config, workload, form = GOLDENS[name]
+    work = get_workload(workload).build(config, form=form)
+    return Simulator._build(config, work, workload).cores[0]
+
+
+@pytest.mark.parametrize("name", ["l1-3set", "l1-3set-ccws"])
+def test_three_set_cells_take_the_geometry_fallback(name):
+    # The l1-3set goldens exist to cover the fallback to the core's own
+    # _issue_memory; pin that they still reach it, against a control
+    # cell at the default L1 that takes the inline path.
+    assert not EventEngine(_core(name))._inline_geometry_ok()
+    assert EventEngine(_core("fig02-naive"))._inline_geometry_ok()

@@ -54,6 +54,10 @@ class TestBenchCli:
         totals = report["totals"]
         assert totals["observed_wall_s"] > 0
         assert totals["observed_overhead"] > 0
+        # Only the untraced pass feeds the registry snapshot: each
+        # cell's cycles are counted once, as in the totals.
+        cycles = report["metrics"]["sim_cycles"]["values"]
+        assert sum(v["value"] for v in cycles) == totals["sim_cycles"]
 
     def test_without_observed_flag_no_observed_keys(self, tmp_path, capsys):
         assert bench_main(ARGS + ["--dir", str(tmp_path)]) == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import stat
 
 from helpers import small_config
 
@@ -42,6 +43,33 @@ def test_round_trip_is_byte_identical(tmp_path):
     assert restored is not None
     assert restored.canonical_json() == result.canonical_json()
     assert cache.hits == 1 and cache.stores == 1 and len(cache) == 1
+
+
+def test_put_fsyncs_the_entry_before_the_rename_and_the_dir_after(
+    tmp_path, monkeypatch
+):
+    # Durability: the entry's bytes reach the disk before its name
+    # does, and the name itself (the directory) after the rename.
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+        calls.append(kind)
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append("replace")
+        real_replace(src, dst)
+
+    cache = ResultCache(str(tmp_path))
+    cell = _cell()
+    result = cells.simulate_cell(cell)
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    cache.put(cell, result)
+    assert calls == ["file", "replace", "dir"]
+    assert cache.get(cell).canonical_json() == result.canonical_json()
 
 
 def test_corrupt_entry_degrades_to_a_miss(tmp_path):
